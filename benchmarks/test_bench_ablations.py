@@ -5,8 +5,8 @@ implementation exposes:
 
 * in-segment kernel choice (two-pointer / galloping / vectorized) on
   uniform vs clustered data;
-* partition granularity: exactly p segments vs 4p oversubscription
-  (oversubscription helps when segment costs vary — e.g. galloping on
+* partition granularity: exactly p segments vs 4p segments on the same
+  backend (finer cuts help when segment costs vary — e.g. galloping on
   clustered data — at the price of more searches);
 * keyed merge (payload gather) vs plain merge;
 * streaming merge block size.
@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 from repro.core.keyed import merge_by_key
-from repro.core.merge_path import partition_merge_path
-from repro.core.parallel_merge import merge_partition, parallel_merge
+from repro.core.parallel_merge import parallel_merge
 from repro.core.sequential import KERNELS
 from repro.core.streaming import streaming_merge
 from repro.backends.serial import SerialBackend
+from repro.execution import run_merge_round
 from repro.workloads.adversarial import staircase_runs
 from repro.workloads.generators import sorted_uniform_ints
 
@@ -54,17 +54,16 @@ def test_bench_kernel_clustered(benchmark, clustered_pair, kernel):
     benchmark(KERNELS[kernel], sa, sb, check=False)
 
 
-@pytest.mark.parametrize("oversubscribe", [1, 4])
-def test_bench_partition_granularity(benchmark, uniform_pair, oversubscribe):
-    """p segments vs 4p segments executed on p workers."""
+@pytest.mark.parametrize("factor", [1, 4])
+def test_bench_partition_granularity(benchmark, uniform_pair, factor):
+    """p segments vs 4p segments executed on the same backend."""
     a, b = uniform_pair
     p = 4
     backend = SerialBackend()
-    segments = p * oversubscribe
 
     def run():
-        part = partition_merge_path(a, b, segments, check=False)
-        return merge_partition(a, b, part, backend=backend)
+        (merged,) = run_merge_round([a, b], p * factor, backend=backend)
+        return merged
 
     out = benchmark(run)
     assert len(out) == 2 * N

@@ -24,6 +24,7 @@ __all__ = [
     "get_backend",
     "available_backends",
     "register_backend",
+    "innermost_backend",
 ]
 
 
@@ -105,12 +106,6 @@ class Backend(abc.ABC):
         exactly the failed indices.
         """
 
-    # Optional hook: backends (and resilience wrappers) that can run the
-    # zero-copy shared-memory merge path implement
-    # ``merge_partition(a, b, partition) -> ndarray | None``; returning
-    # None means "no fast path here, use the generic task route".
-    # :func:`repro.core.parallel_merge.merge_partition` probes for it.
-
     def run_batch(self, batch: TaskBatch) -> list[TaskResult]:
         """Dispatch one :class:`TaskBatch` (the batched-engine entry).
 
@@ -178,6 +173,17 @@ class Backend(abc.ABC):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def innermost_backend(backend: Backend) -> Backend:
+    """Unwrap ``.inner`` chains (resilient / fault-injection wrappers)."""
+    seen: set[int] = set()
+    while True:
+        inner = getattr(backend, "inner", None)
+        if not isinstance(inner, Backend) or id(inner) in seen:
+            return backend
+        seen.add(id(backend))
+        backend = inner
 
 
 _REGISTRY: dict[str, Callable[..., Backend]] = {}

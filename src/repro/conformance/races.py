@@ -172,9 +172,9 @@ def audited_parallel_merge(
 ) -> list[RaceFinding]:
     """Run Algorithm 1 on the real ``backend`` with write tracking.
 
-    Mirrors :func:`repro.core.parallel_merge.merge_partition` task for
-    task — same partitioner, same ``merge_into`` kernel, same thread
-    pool — but the output array records its writers.  Passing an
+    Mirrors :func:`repro.execution.engine.run_merge_round` over one pair
+    task for task — same partitioner, same ``merge_into`` kernel, same
+    thread pool — but the output array records its writers.  Passing an
     explicit ``partition`` lets tests inject a *corrupted* partition
     (overlapping slices) and verify the detector fires.
 
@@ -304,7 +304,7 @@ def audited_batched_round(
 
     be = get_backend(backend, max_workers=max(1, procs_per_pair * len(pairs)))
     try:
-        be.run_batch(TaskBatch(tasks, label="sort.round",
+        be.run_batch(TaskBatch(tasks, label="merge.round",
                                meta={"pairs": len(pairs)}))
     finally:
         be.close()

@@ -108,8 +108,13 @@ def diagonal_intersections_vectorized(
 
     All ``len(diagonals)`` binary searches proceed in lockstep: one numpy
     fancy-indexing comparison per bisection round, ``ceil(log2)`` rounds
-    total.  This mirrors how the p processors of Algorithm 1 search their
-    diagonals concurrently, and is the production path for large ``p``.
+    total.  This mirrors how the thread blocks of a GPU kernel search
+    their diagonals concurrently; the blocked GPU model
+    (:mod:`repro.gpu.blocked_merge`) uses it for its many block
+    diagonals.  The CPU partition (:func:`partition_merge_path`) runs one
+    scalar :func:`diagonal_intersection` per processor instead, as in
+    Algorithm 1: for a few diagonals a scalar probe is far cheaper than
+    a lockstep round of ~10 NumPy calls.
 
     When ``stats`` is given, ``stats.search_probes`` counts the element
     comparisons actually performed (active searches per round), the same
@@ -151,7 +156,6 @@ def partition_at_positions(
     positions: Sequence[int],
     *,
     check: bool = True,
-    vectorized: bool = True,
     stats: MergeStats | None = None,
     tracer: "Tracer | None" = None,
 ) -> Partition:
@@ -163,9 +167,11 @@ def partition_at_positions(
     merge path's intersections with the grid diagonals at those
     positions (Theorem 9: output position == diagonal index).
 
-    ``stats.search_probes`` counts actual probes in both scalar and
-    vectorized modes; ``tracer`` records one ``partition.search`` span
-    covering the whole search (the lockstep searches are one phase).
+    Each cut is one scalar :func:`diagonal_intersection`, as each
+    processor of Algorithm 1 searches its own diagonal.
+    ``stats.search_probes`` counts the probes and ``search_steps``
+    records them per diagonal; ``tracer`` records one
+    ``partition.search`` span covering all the searches.
     """
     a = as_array(a, "A")
     b = as_array(b, "B")
@@ -178,51 +184,46 @@ def partition_at_positions(
     if any(q2 <= q1 for q1, q2 in zip(pos, pos[1:])):
         raise InputError("cut positions must be strictly increasing")
 
+    return _tile(a, b, [0, *pos, n], pos, stats, tracer)
+
+
+def _tile(
+    a: np.ndarray,
+    b: np.ndarray,
+    boundaries: list[int],
+    cuts: list[int],
+    stats: MergeStats | None,
+    tracer: "Tracer | None",
+) -> Partition:
+    """Search every diagonal in ``cuts`` and tile the merge path.
+
+    Segment ``k`` spans output positions ``[boundaries[k],
+    boundaries[k+1])``; every interior boundary must be in ``cuts``.
+    Each cut is one scalar :func:`diagonal_intersection`, under one
+    ``partition.search`` span for the whole call.
+    """
     span = (
-        tracer.span("partition.search", diagonals=len(pos), a_len=len(a),
-                    b_len=len(b), vectorized=bool(vectorized))
+        tracer.span("partition.search", diagonals=len(cuts), a_len=len(a),
+                    b_len=len(b))
         if tracer is not None
         else NULL_SPAN
     )
     with span:
-        search_steps: list[int] = []
-        probes = MergeStats()
-        if vectorized and pos:
-            ivals = diagonal_intersections_vectorized(a, b, pos, stats=probes)
-            points = [PathPoint(int(i), int(d - i)) for i, d in zip(ivals, pos)]
-            # the lockstep search costs the same bound per diagonal
-            bound = max_search_steps(len(a), len(b))
-            search_steps = [bound] * len(pos)
-        else:
-            points = []
-            for d in pos:
-                local = MergeStats()
-                points.append(diagonal_intersection(a, b, d, stats=local))
-                search_steps.append(local.search_probes)
-                probes.merge(local)
+        i_at = {0: 0, len(a) + len(b): len(a)}
+        steps: list[int] = []
+        for d in cuts:
+            local = MergeStats()
+            i_at[d] = diagonal_intersection(a, b, d, stats=local).i
+            steps.append(local.search_probes)
+        probes = sum(steps)
         if stats is not None:
-            stats.merge(probes)
-        span.set(probes=probes.search_probes)
-
-    bounds = [PathPoint(0, 0), *points, PathPoint(len(a), len(b))]
+            stats.search_probes += probes
+        span.set(probes=probes)
     segments = tuple(
-        Segment(
-            index=k,
-            a_start=s.i,
-            a_end=e.i,
-            b_start=s.j,
-            b_end=e.j,
-            out_start=s.diagonal,
-            out_end=e.diagonal,
-        )
-        for k, (s, e) in enumerate(zip(bounds, bounds[1:]))
+        Segment(k, i_at[q0], i_at[q1], q0 - i_at[q0], q1 - i_at[q1], q0, q1)
+        for k, (q0, q1) in enumerate(zip(boundaries, boundaries[1:]))
     )
-    return Partition(
-        a_len=len(a),
-        b_len=len(b),
-        segments=segments,
-        search_steps=tuple(search_steps),
-    )
+    return Partition(len(a), len(b), segments, tuple(steps))
 
 
 def partition_merge_path(
@@ -231,7 +232,6 @@ def partition_merge_path(
     p: int,
     *,
     check: bool = True,
-    vectorized: bool = True,
     stats: MergeStats | None = None,
     tracer: "Tracer | None" = None,
 ) -> Partition:
@@ -250,12 +250,8 @@ def partition_merge_path(
         which case trailing segments are empty.
     check:
         Validate sortedness/dtypes (skip for internal hot paths).
-    vectorized:
-        Use the lockstep multi-diagonal search (default) instead of one
-        scalar binary search per diagonal.
     stats:
-        Optional counter sink for search probes (honored in both scalar
-        and vectorized modes; pass
+        Optional counter sink for search probes (pass
         ``MetricsRegistry.merge_stats()`` to route the counts into the
         unified metrics registry).
     tracer:
@@ -288,24 +284,4 @@ def partition_merge_path(
     # some interior segments are empty).
     raw = [(k * n) // p for k in range(1, p)]
     unique = sorted({q for q in raw if 0 < q < n})
-    part = partition_at_positions(
-        a, b, unique, check=False, vectorized=vectorized, stats=stats,
-        tracer=tracer,
-    )
-    point_at = {0: PathPoint(0, 0), n: PathPoint(len(a), len(b))}
-    for q, seg in zip(unique, part.segments):
-        point_at[q] = PathPoint(seg.a_end, seg.b_end)
-    boundaries = [0, *raw, n]
-    segments = []
-    for k, (q0, q1) in enumerate(zip(boundaries, boundaries[1:])):
-        s = point_at[q0]
-        e = point_at[q1]
-        segments.append(
-            Segment(
-                index=k,
-                a_start=s.i, a_end=e.i,
-                b_start=s.j, b_end=e.j,
-                out_start=q0, out_end=q1,
-            )
-        )
-    return Partition(len(a), len(b), tuple(segments), part.search_steps)
+    return _tile(a, b, [0, *raw, n], unique, stats, tracer)

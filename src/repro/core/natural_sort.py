@@ -6,9 +6,11 @@ place, TimSort-style) and only merges what needs merging: already
 sorted input costs one O(N) detection scan and zero merges; k natural
 runs cost ``O(N log k)`` instead of ``O(N log N)``.
 
-The merges themselves are the package's parallel merge-path merges, so
-this composes adaptivity (from run detection) with parallelism (from
-partitioning) — a combination none of the paper's baselines has.
+The merges themselves are the package's parallel merge-path merges —
+each round of pairwise merges is one
+:func:`repro.execution.engine.run_merge_round` dispatch — so this
+composes adaptivity (from run detection) with parallelism (from
+partitioning), a combination none of the paper's baselines has.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import numpy as np
 from ..backends import Backend, get_backend
 from ..types import MergeStats
 from ..validation import as_array, check_positive
-from .merge_path import partition_merge_path
-from .parallel_merge import merge_partition
 
 __all__ = ["find_natural_runs", "natural_merge_sort"]
 
@@ -100,25 +100,19 @@ def natural_merge_sort(
     if len(runs) == 1:
         return arr
 
+    from ..execution.engine import run_merge_round
+
     own_backend = isinstance(backend, str)
     be = get_backend(backend, max_workers=p) if own_backend else backend
     try:
+        round_index = 1
         while len(runs) > 1:
-            procs = max(1, p // max(1, len(runs) // 2))
-            nxt: list[np.ndarray] = []
-            for i in range(0, len(runs) - 1, 2):
-                part = partition_merge_path(
-                    runs[i], runs[i + 1], procs, check=False, stats=stats
-                )
-                nxt.append(
-                    merge_partition(
-                        runs[i], runs[i + 1], part, backend=be,
-                        kernel=kernel, stats=stats,
-                    )
-                )
-            if len(runs) % 2:
-                nxt.append(runs[-1])
-            runs = nxt
+            procs = max(1, p // (len(runs) // 2))
+            runs = run_merge_round(
+                runs, procs, backend=be, kernel=kernel, stats=stats,
+                round_index=round_index,
+            )
+            round_index += 1
         return runs[0]
     finally:
         if own_backend:

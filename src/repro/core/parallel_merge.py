@@ -5,13 +5,17 @@ Direct implementation of the paper's Algorithm 1:
 1. Processor ``k`` (0-based) owns output positions
    ``[k·N/p, (k+1)·N/p)`` where ``N = |A| + |B|``.
 2. It binary-searches the merge path's intersection with its starting
-   diagonal (Theorem 14) — done once, up front, for all processors by
-   :func:`repro.core.merge_path.partition_merge_path` (the searches are
-   independent; the vectorized form runs them in lockstep exactly as p
-   hardware threads would).
+   diagonal (Theorem 14) — one scalar search per diagonal, done up
+   front by :func:`repro.core.merge_path.partition_merge_path`.
 3. It merges its sub-arrays sequentially into its disjoint output slice.
-4. Implicit barrier: :meth:`Backend.run_tasks` returns only when every
+4. Implicit barrier: :meth:`Backend.run_batch` returns only when every
    segment is done.
+
+Steps 2–4 are :func:`repro.execution.engine.run_merge_round` over the
+single pair ``[a, b]`` — the same code path as every round of the
+parallel merge sort and the natural merge sort, traced or not, on every
+backend.  This module adds validation, backend resolution and the
+per-call metrics.
 
 No locks, no atomics, no inter-processor communication — cores share
 only read-only inputs, matching the Remark after Algorithm 1.
@@ -19,24 +23,19 @@ only read-only inputs, matching the Remark after Algorithm 1.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
-from ..backends import Backend, TaskBatch, get_backend
-from ..obs.tracer import NULL_SPAN
-from ..types import MergeStats, Partition
+from ..backends import Backend, get_backend
+from ..types import MergeStats
 from ..validation import as_array, check_mergeable, check_positive
-from .merge_path import partition_merge_path
-from .sequential import merge_into, result_dtype
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricsRegistry, Tracer
     from ..resilience import ExecutionTelemetry, RetryPolicy
 
-__all__ = ["parallel_merge", "merge", "merge_partition"]
+__all__ = ["parallel_merge", "merge"]
 
 
 class _TracerScope:
@@ -76,104 +75,6 @@ def _snapshot(stats: MergeStats | None) -> tuple[int, int, int]:
     if stats is None:
         return (0, 0, 0)
     return (stats.comparisons, stats.moves, stats.search_probes)
-
-
-def merge_partition(
-    a: np.ndarray,
-    b: np.ndarray,
-    partition: Partition,
-    *,
-    backend: Backend,
-    kernel: str = "vectorized",
-    stats: MergeStats | None = None,
-    trace: "Tracer | None" = None,
-    metrics: "MetricsRegistry | None" = None,
-) -> np.ndarray:
-    """Execute the merge phase of Algorithm 1 over a ready partition.
-
-    Each segment becomes one task on ``backend``; tasks write disjoint
-    slices of the shared output array.  The per-task closures capture
-    only views — no element data is copied (except on the process
-    backend, which stages arrays in shared memory once).
-
-    Backends that can do better than the generic closure route — the
-    process backend and the resilience wrappers around it — advertise a
-    ``merge_partition(a, b, partition)`` hook (see
-    :class:`repro.backends.Backend`); it is probed first and a
-    non-``None`` return is the result.  The hook path uses the
-    vectorized kernel and does not feed ``stats``; when ``trace`` is
-    given the hook is skipped so every segment yields a
-    ``segment.merge`` span on the worker that ran it.
-
-    ``metrics`` publishes the Theorem 14 load-balance gauges
-    (``balance.work_spread`` from the partition,
-    ``balance.task_time_imbalance`` from measured per-task times) and
-    counts dispatched segments.
-    """
-    if metrics is not None:
-        metrics.counter("merge.segments").inc(
-            sum(1 for seg in partition.segments if seg.length > 0)
-        )
-        metrics.gauge("balance.work_spread").set(partition.max_imbalance)
-    fast_path = getattr(backend, "merge_partition", None)
-    if fast_path is not None and trace is None:
-        merged = fast_path(a, b, partition)
-        if merged is not None:
-            return merged
-
-    out = np.empty(partition.total_length, dtype=result_dtype(a, b))
-    per_task_stats: list[MergeStats | None] = [
-        MergeStats() if stats is not None else None for _ in partition.segments
-    ]
-
-    def make_task(seg, seg_stats):
-        def task() -> None:
-            span = (
-                trace.span(
-                    "segment.merge",
-                    index=seg.index,
-                    worker=seg.index,
-                    a_start=seg.a_start, a_end=seg.a_end,
-                    b_start=seg.b_start, b_end=seg.b_end,
-                    out_start=seg.out_start, out_end=seg.out_end,
-                    length=seg.length,
-                )
-                if trace is not None
-                else NULL_SPAN
-            )
-            with span:
-                merge_into(
-                    out[seg.out_start : seg.out_end],
-                    a[seg.a_start : seg.a_end],
-                    b[seg.b_start : seg.b_end],
-                    kernel=kernel,
-                    stats=seg_stats,
-                )
-                if seg_stats is not None:
-                    span.set(comparisons=seg_stats.comparisons,
-                             moves=seg_stats.moves)
-
-        return task
-
-    tasks = [
-        make_task(seg, st)
-        for seg, st in zip(partition.segments, per_task_stats)
-        if seg.length > 0
-    ]
-    results = backend.run_batch(  # blocks: the Algorithm 1 barrier
-        TaskBatch(tasks, label="merge.partition",
-                  meta={"segments": len(tasks)})
-    )
-    if stats is not None:
-        for st in per_task_stats:
-            if st is not None:
-                stats.merge(st)
-    if metrics is not None and results:
-        times = [r.elapsed_s for r in results]
-        mean = sum(times) / len(times)
-        if mean > 0:
-            metrics.gauge("balance.task_time_imbalance").set(max(times) / mean)
-    return out
 
 
 def _resolve_execution(
@@ -263,7 +164,6 @@ def parallel_merge(
     backend: Backend | str = "threads",
     kernel: str = "vectorized",
     check: bool = True,
-    oversubscribe: int = 1,
     stats: MergeStats | None = None,
     resilience: "RetryPolicy | bool | None" = None,
     telemetry: "ExecutionTelemetry | None" = None,
@@ -293,12 +193,6 @@ def parallel_merge(
         autotuner pick per segment length.
     check:
         Validate input sortedness (O(N) vectorized scan).
-    oversubscribe:
-        Segments per worker (default 1, the paper's static schedule).
-        Values > 1 cut ``p * oversubscribe`` segments so a pooled
-        backend can balance dynamically — useful when per-segment cost
-        varies (e.g. NUMA effects, or the galloping kernel on clustered
-        data); Corollary 7 makes it unnecessary for uniform cost.
     stats:
         Optional operation-count sink (partition probes + merge ops).
     resilience:
@@ -332,7 +226,6 @@ def parallel_merge(
         ``len(a) + len(b)``.
     """
     check_positive(p, "p")
-    check_positive(oversubscribe, "oversubscribe")
     a = as_array(a, "A")
     b = as_array(b, "B")
     if check:
@@ -343,28 +236,20 @@ def parallel_merge(
         local_stats = MergeStats()
     before = _snapshot(local_stats)
 
-    n = len(a) + len(b)
-    if kernel == "auto":
-        from ..execution.autotune import get_autotuner
-
-        kernel = get_autotuner().resolve_kernel(
-            kernel, max(1, n // (p * oversubscribe))
-        )
-
-    partition = partition_merge_path(
-        a, b, p * oversubscribe, check=False, stats=local_stats, tracer=trace
-    )
-
     be, owned, t_start = _resolve_execution(
-        backend, p, resilience, telemetry, metrics, n=n, trace=trace
+        backend, p, resilience, telemetry, metrics,
+        n=len(a) + len(b), trace=trace,
     )
     d_start = be.dispatches
     try:
+        from ..execution.engine import run_merge_round
+
         with _TracerScope(be, trace):
-            return merge_partition(
-                a, b, partition, backend=be, kernel=kernel, stats=local_stats,
+            (merged,) = run_merge_round(
+                [a, b], p, backend=be, kernel=kernel, stats=local_stats,
                 trace=trace, metrics=metrics,
             )
+            return merged
     finally:
         _flush_telemetry(be, t_start, telemetry)
         if metrics is not None:

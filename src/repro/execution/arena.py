@@ -1,18 +1,21 @@
 """Shared-memory staging for whole batched phases on the process backend.
 
-:class:`repro.backends.processes.SharedMergeArena` stages *one* merge —
-two blocks in, one block out.  A batched sort round merges many pairs at
-once, and staging each pair separately would cost one shared-memory
-allocation trio per pair per round.  The arenas here amortize that to
+This is the package's one shared-memory arena for merges: whenever a
+process pool may execute a merge batch — a sort round, a natural-sort
+round, or ``parallel_merge`` as a one-pair round — the engine
+(:func:`repro.execution.engine.run_merge_round`) stages it here, at
 **two blocks per round** regardless of pair count:
 
 :class:`RoundArena`
     One input block holding every run of the round back to back, one
     output block holding every merged pair back to back.  Each segment
-    task carries only integer offsets into the two blocks, so the jobs
-    stay picklable and idempotent — same disjoint bytes on re-execution,
-    which is what lets :class:`repro.resilience.ResilientBackend` retry
-    or speculate them freely (Theorem 14).
+    task carries only integer offsets into the two blocks plus the
+    kernel name, so the jobs stay picklable and idempotent — same
+    disjoint bytes on re-execution, which is what lets
+    :class:`repro.resilience.ResilientBackend` retry or speculate them
+    freely (Theorem 14).  A job returns its segment's
+    :class:`~repro.types.MergeStats` when asked to count, so operation
+    counts do not depend on where the job ran.
 
 :class:`ChunkSortArena`
     Round 0 of the sort: the unsorted array in one block, each chunk
@@ -31,7 +34,7 @@ import functools
 
 import numpy as np
 
-from ..types import Partition
+from ..types import MergeStats, Partition
 
 __all__ = ["RoundArena", "ChunkSortArena"]
 
@@ -41,20 +44,23 @@ def _attach(name: str) -> shared_memory.SharedMemory:
 
 
 def _merge_segment_offsets(
-    args: tuple[str, str, str, int, int, int, int, int, int, int, int, int, int],
-) -> int:
+    args: tuple[str, str, str, int, int, int, int, int,
+                int, int, int, int, int, str, bool],
+) -> MergeStats | None:
     """Merge one segment of one pair inside a worker process.
 
     All coordinates are *element* offsets into the round's two shared
     blocks: the pair's A run lives at ``a_off`` (length ``a_len``), its
     B run at ``b_off``, its output at ``out_off``; the segment then
     addresses sub-ranges of those runs exactly as in Algorithm 1.
+    Returns the segment's operation counts when ``count`` is set.
     """
     from ..core.sequential import merge_into
 
     (name_in, name_out, dtype_str,
      a_off, a_len, b_off, b_len, out_off,
-     a0, a1, b0, b1, o0) = args
+     a0, a1, b0, b1, o0, kernel, count) = args
+    stats = MergeStats() if count else None
     dtype = np.dtype(dtype_str)
     item = dtype.itemsize
     shm_in = _attach(name_in)
@@ -67,11 +73,11 @@ def _merge_segment_offsets(
         seg_len = (a1 - a0) + (b1 - b0)
         out = np.ndarray((seg_len,), dtype=dtype, buffer=shm_out.buf,
                          offset=(out_off + o0) * item)
-        merge_into(out, a[a0:a1], b[b0:b1], kernel="vectorized")
+        merge_into(out, a[a0:a1], b[b0:b1], kernel=kernel, stats=stats)
     finally:
         shm_in.close()
         shm_out.close()
-    return out_off + o0
+    return stats
 
 
 def _sort_chunk_shm(
@@ -127,12 +133,18 @@ class RoundArena(_TwoBlockArena):
     ``pairs`` is a sequence of ``(a, b, partition)`` triples.  The runs
     are copied into the input block once; ``tasks()`` yields one
     picklable job per non-empty segment across *all* pairs — the round's
-    entire :class:`~repro.backends.TaskBatch`.  ``results()`` copies
-    each pair's merged output back out in pair order.
+    entire :class:`~repro.backends.TaskBatch` — merging with ``kernel``
+    and returning its :class:`~repro.types.MergeStats` when ``count``.
+    ``results()`` copies each pair's merged output back out in pair
+    order.
     """
 
     def __init__(
-        self, pairs: Sequence[tuple[np.ndarray, np.ndarray, Partition]]
+        self,
+        pairs: Sequence[tuple[np.ndarray, np.ndarray, Partition]],
+        *,
+        kernel: str = "vectorized",
+        count: bool = False,
     ) -> None:
         dtype = np.result_type(*(
             np.promote_types(a.dtype, b.dtype) for a, b, _ in pairs
@@ -159,6 +171,7 @@ class RoundArena(_TwoBlockArena):
                         self._dtype.str,
                         a_off, len(a), b_off, len(b), out_off,
                         s.a_start, s.a_end, s.b_start, s.b_end, s.out_start,
+                        kernel, count,
                     ))
                 cursor += len(a) + len(b)
                 self._pair_slices.append((out_off, cursor))
@@ -166,7 +179,7 @@ class RoundArena(_TwoBlockArena):
             self.close()
             raise
 
-    def tasks(self) -> list[Callable[[], int]]:
+    def tasks(self) -> list[Callable[[], MergeStats | None]]:
         return [functools.partial(_merge_segment_offsets, j) for j in self.jobs]
 
     def results(self) -> list[np.ndarray]:

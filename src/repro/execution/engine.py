@@ -15,10 +15,15 @@ Two helpers constitute the engine:
 :func:`run_merge_round`
     All pairs of one round → one batch.  An odd run out is carried to
     the next round *at zero dispatch cost* (it used to ride along as
-    either a degenerate 1-task batch or an extra list pass).
+    either a degenerate 1-task batch or an extra list pass).  It is the
+    only place merge tasks are built: ``parallel_merge`` is one round
+    over one pair, and the merge sort and natural merge sort run every
+    round through it; it alone decides between in-process closures and
+    shared-memory offset jobs
+    (:class:`~repro.execution.arena.RoundArena`).
 :func:`run_chunk_sorts`
-    Round 0 (the per-processor local sorts) → one batch; on the process
-    backend the array is staged once in shared memory
+    Round 0 (the per-processor local sorts) → one batch; when a process
+    pool may run it the array is staged once in shared memory
     (:class:`~repro.execution.arena.ChunkSortArena`) so chunk data is
     not pickled.
 
@@ -34,6 +39,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..backends import Backend, TaskBatch
+from ..backends.base import innermost_backend
 from ..backends.processes import ProcessBackend
 from ..obs.tracer import NULL_SPAN
 from ..types import MergeStats
@@ -48,17 +54,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["run_merge_round", "run_chunk_sorts"]
 
 
-def _innermost(backend: Backend) -> Backend:
-    """Unwrap resilience/fault wrappers to find the executing backend."""
-    seen: set[int] = set()
-    be = backend
-    while id(be) not in seen:
-        seen.add(id(be))
-        inner = getattr(be, "inner", None)
-        if not isinstance(inner, Backend):
-            break
-        be = inner
-    return be
+def _process_pool_may_run(backend: Backend) -> bool:
+    """Whether a batch sent to ``backend`` may execute in a process pool.
+
+    True when the innermost backend of a wrapper chain is a
+    :class:`ProcessBackend`, or when it is a
+    :class:`~repro.resilience.DegradingBackend` any of whose levels is
+    (a batch may replay on any level).  Such batches must be picklable,
+    so they ship as shared-memory offset jobs instead of closures.
+    """
+    from ..resilience.degrade import DegradingBackend
+
+    be = innermost_backend(backend)
+    if isinstance(be, DegradingBackend):
+        return any(
+            entry == "processes"
+            or (isinstance(entry, Backend)
+                and isinstance(innermost_backend(entry), ProcessBackend))
+            for entry in be.chain
+        )
+    return isinstance(be, ProcessBackend)
 
 
 def _publish_times(metrics: "MetricsRegistry | None", results) -> None:
@@ -87,11 +102,18 @@ def run_merge_round(
     each), fuses all segment tasks into a single
     :class:`~repro.backends.TaskBatch`, and returns the next round's
     runs.  An odd trailing run is carried over untouched — it costs no
-    task and no dispatch.
+    task and no dispatch.  ``parallel_merge`` is this function over one
+    pair.
 
-    On an (innermost) process backend with no tracer the round is staged
-    through a :class:`RoundArena`: two shared-memory blocks for the
-    whole round, picklable offset jobs, still one dispatch.
+    When a process pool may execute the batch (see
+    :func:`_process_pool_may_run`) the round is staged through a
+    :class:`RoundArena`: two shared-memory blocks for the whole round,
+    picklable offset jobs, still one dispatch.  Otherwise each segment
+    is an in-process closure writing a view of the pair's output.
+    Either way every task returns its segment's :class:`MergeStats`
+    (when ``stats`` is given), folded here, so the counts do not
+    depend on the backend; only the closures record ``segment.merge``
+    spans, since worker processes do not share the caller's tracer.
     """
     if len(runs) < 2:
         return list(runs)
@@ -114,79 +136,74 @@ def run_merge_round(
 
     seg_hint = max(1, max(p.total_length for p in partitions) // procs_per_pair)
     resolved_kernel = get_autotuner().resolve_kernel(kernel, seg_hint)
+    count = stats is not None
     meta = {"round": round_index, "pairs": len(pairs),
             "procs_per_pair": procs_per_pair}
 
-    if trace is None and isinstance(_innermost(backend), ProcessBackend):
+    if _process_pool_may_run(backend):
         with RoundArena(
-            [(a, b, part) for (a, b), part in zip(pairs, partitions)]
+            [(a, b, part) for (a, b), part in zip(pairs, partitions)],
+            kernel=resolved_kernel, count=count,
         ) as arena:
             results = backend.run_batch(
-                TaskBatch(arena.tasks(), label="sort.round", meta=meta)
+                TaskBatch(arena.tasks(), label="merge.round", meta=meta)
             )
-            _publish_times(metrics, results)
             merged = arena.results()
-        if tail is not None:
-            merged.append(tail)
-        return merged
+    else:
+        merged = [
+            np.empty(part.total_length, dtype=result_dtype(a, b))
+            for (a, b), part in zip(pairs, partitions)
+        ]
 
-    outs = [
-        np.empty(part.total_length, dtype=result_dtype(a, b))
-        for (a, b), part in zip(pairs, partitions)
-    ]
-    per_task_stats: list[MergeStats | None] = []
-    tasks = []
-
-    def make_task(a, b, out, seg, seg_stats, worker):
-        def task() -> None:
-            span = (
-                trace.span(
-                    "segment.merge",
-                    index=seg.index, worker=worker, round=round_index,
-                    a_start=seg.a_start, a_end=seg.a_end,
-                    b_start=seg.b_start, b_end=seg.b_end,
-                    out_start=seg.out_start, out_end=seg.out_end,
-                    length=seg.length,
+        def make_task(a, b, out, seg, worker):
+            def task() -> MergeStats | None:
+                seg_stats = MergeStats() if count else None
+                span = (
+                    trace.span(
+                        "segment.merge",
+                        index=seg.index, worker=worker, round=round_index,
+                        a_start=seg.a_start, a_end=seg.a_end,
+                        b_start=seg.b_start, b_end=seg.b_end,
+                        out_start=seg.out_start, out_end=seg.out_end,
+                        length=seg.length,
+                    )
+                    if trace is not None
+                    else NULL_SPAN
                 )
-                if trace is not None
-                else NULL_SPAN
-            )
-            with span:
-                merge_into(
-                    out[seg.out_start:seg.out_end],
-                    a[seg.a_start:seg.a_end],
-                    b[seg.b_start:seg.b_end],
-                    kernel=resolved_kernel,
-                    stats=seg_stats,
-                )
-                if seg_stats is not None:
-                    span.set(comparisons=seg_stats.comparisons,
-                             moves=seg_stats.moves)
+                with span:
+                    merge_into(
+                        out[seg.out_start:seg.out_end],
+                        a[seg.a_start:seg.a_end],
+                        b[seg.b_start:seg.b_end],
+                        kernel=resolved_kernel,
+                        stats=seg_stats,
+                    )
+                    if seg_stats is not None:
+                        span.set(comparisons=seg_stats.comparisons,
+                                 moves=seg_stats.moves)
+                return seg_stats
 
-        return task
+            return task
 
-    for pair_idx, ((a, b), part, out) in enumerate(zip(pairs, partitions, outs)):
-        for seg in part.segments:
-            if seg.length == 0:
-                continue
-            seg_stats = MergeStats() if stats is not None else None
-            per_task_stats.append(seg_stats)
-            tasks.append(make_task(
-                a, b, out, seg, seg_stats,
-                worker=pair_idx * procs_per_pair + seg.index,
-            ))
+        tasks = [
+            make_task(a, b, out, seg,
+                      worker=pair_idx * procs_per_pair + seg.index)
+            for pair_idx, ((a, b), part, out)
+            in enumerate(zip(pairs, partitions, merged))
+            for seg in part.segments
+            if seg.length > 0
+        ]
+        results = backend.run_batch(
+            TaskBatch(tasks, label="merge.round", meta=meta)
+        )
 
-    results = backend.run_batch(
-        TaskBatch(tasks, label="sort.round", meta=meta)
-    )
     _publish_times(metrics, results)
     if stats is not None:
-        for st in per_task_stats:
-            if st is not None:
-                stats.merge(st)
+        for r in results:
+            stats.merge(r.value)
     if tail is not None:
-        outs.append(tail)
-    return outs
+        merged.append(tail)
+    return merged
 
 
 def run_chunk_sorts(
@@ -202,20 +219,18 @@ def run_chunk_sorts(
     """Round 0 of the sort: every chunk's local sort as one batch.
 
     ``sort_chunk`` is the per-chunk callable (defaults to a stable numpy
-    sort).  On an (innermost) untraced process backend with the default
-    numpy sort the chunks are staged through a
-    :class:`ChunkSortArena` — previously round 0 on processes required
-    pickling every chunk's data through closure tasks.
+    sort).  With the default numpy sort, whenever a process pool may
+    execute the batch the chunks are staged through a
+    :class:`ChunkSortArena`, so no chunk data is pickled.
     """
     n = len(arr)
     chunks = min(chunks, n)
     bounds = [(k * n) // chunks for k in range(chunks + 1)]
 
     if (
-        trace is None
-        and sort_chunk is None
+        sort_chunk is None
         and base_sort == "numpy"
-        and isinstance(_innermost(backend), ProcessBackend)
+        and _process_pool_may_run(backend)
     ):
         with ChunkSortArena(arr, bounds) as arena:
             results = backend.run_batch(

@@ -40,11 +40,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from ..backends.base import Backend
 from ..errors import BackendError, BackendUnavailableError, InputError
-from ..types import Partition
 from .breaker import CLOSED, CircuitBreaker, RecoveryPolicy
 from .policy import RetryPolicy
 from .resilient import ResilientBackend
@@ -400,6 +397,11 @@ class DegradingBackend(Backend):
         return breaker is None or breaker.allows()
 
     @property
+    def chain(self) -> tuple[Any, ...]:
+        """The levels as given: backend names or :class:`Backend` instances."""
+        return tuple(self._entries)
+
+    @property
     def active_backend(self) -> str | None:
         """Name of the first level still eligible to run batches."""
         for i in range(len(self._entries)):
@@ -546,30 +548,6 @@ class DegradingBackend(Backend):
     def run_tasks(self, tasks: Sequence[Callable[[], Any]]) -> list:
         tasks = list(tasks)
         return self._dispatch(lambda lvl: lvl.run_tasks(tasks), "a task batch")
-
-    def merge_partition(
-        self, a: np.ndarray, b: np.ndarray, partition: Partition
-    ) -> np.ndarray:
-        """Partitioned merge that survives level failures.
-
-        Stages the arrays in a shared-memory arena so the segment tasks
-        are picklable (process levels) yet equally runnable in-process
-        (thread/serial levels), and replays the whole idempotent batch
-        on the next level if one gives out mid-merge.
-        """
-        from ..backends.processes import SharedMergeArena
-
-        def op(level: ResilientBackend) -> np.ndarray:
-            with SharedMergeArena(a, b, partition) as arena:
-                tasks = arena.tasks()
-                if tasks:
-                    level.run_tasks(tasks)
-                return arena.result()
-
-        # One fork/join from the caller's point of view, exactly like
-        # run_batch — level replays underneath don't multiply it.
-        self.dispatches += 1
-        return self._dispatch(op, "a partitioned merge")
 
     def close(self) -> None:
         for level in self._levels.values():

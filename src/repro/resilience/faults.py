@@ -36,8 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from ..backends.base import Backend, TaskResult
-from .resilient import innermost_backend
+from ..backends.base import Backend, TaskResult, innermost_backend
 
 __all__ = [
     "InjectedFault",

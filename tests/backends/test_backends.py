@@ -14,9 +14,10 @@ from repro.backends import (
     available_backends,
     get_backend,
 )
-from repro.backends.processes import merge_partition_shared
+from repro.backends.base import TaskBatch
 from repro.core.merge_path import partition_merge_path
 from repro.errors import BackendError, InputError
+from repro.execution import RoundArena, run_merge_round
 
 
 class TestRegistry:
@@ -123,18 +124,23 @@ class TestProcessBackend:
         a = np.sort(g.integers(0, 1000, 500)).astype(np.int64)
         b = np.sort(g.integers(0, 1000, 400)).astype(np.int64)
         part = partition_merge_path(a, b, 4)
-        out = merge_partition_shared(a, b, part, max_workers=2)
+        be = ProcessBackend(max_workers=2)
+        try:
+            with RoundArena([(a, b, part)]) as arena:
+                be.run_batch(TaskBatch(arena.tasks()))
+                (out,) = arena.results()
+        finally:
+            be.close()
         np.testing.assert_array_equal(
             out, np.sort(np.concatenate([a, b]), kind="mergesort")
         )
 
-    def test_backend_merge_partition(self):
+    def test_merge_round_on_backend_instance(self):
         a = np.arange(0, 100, 2)
         b = np.arange(1, 101, 2)
-        part = partition_merge_path(a, b, 3)
         be = ProcessBackend(max_workers=2)
         try:
-            out = be.merge_partition(a, b, part)
+            (out,) = run_merge_round([a, b], 3, backend=be)
         finally:
             be.close()
         np.testing.assert_array_equal(out, np.arange(100))

@@ -15,13 +15,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.backends.processes import (
-    ProcessBackend,
-    SharedMergeArena,
-    merge_partition_shared,
-)
+from repro.backends.processes import ProcessBackend
 from repro.core.merge_path import partition_merge_path
+from repro.core.parallel_merge import parallel_merge
 from repro.errors import BatchError
+from repro.execution import RoundArena
 from repro.resilience import (
     FaultInjector,
     FaultyBackend,
@@ -89,7 +87,6 @@ class TestBareBackend:
 class TestResilientRecovery:
     def test_scripted_death_recovered_by_retry(self, arrays):
         a, b = arrays
-        partition = partition_merge_path(a, b, 4, check=False)
         injector = FaultInjector(seed=1, scripted={(0, 0): "death"})
         rb = ResilientBackend(
             FaultyBackend(ProcessBackend(max_workers=2), injector),
@@ -97,7 +94,7 @@ class TestResilientRecovery:
                         speculate=False),
         )
         try:
-            merged = rb.merge_partition(a, b, partition)
+            merged = parallel_merge(a, b, 4, backend=rb)
             assert np.array_equal(
                 merged, np.sort(np.concatenate([a, b]), kind="stable")
             )
@@ -106,10 +103,13 @@ class TestResilientRecovery:
         finally:
             rb.close()
 
-    def test_merge_partition_shared_still_works_plain(self, arrays):
+    def test_parallel_merge_on_bare_process_backend(self, arrays):
         a, b = arrays
-        partition = partition_merge_path(a, b, 3, check=False)
-        merged = merge_partition_shared(a, b, partition, max_workers=2)
+        backend = ProcessBackend(max_workers=2)
+        try:
+            merged = parallel_merge(a, b, 3, backend=backend)
+        finally:
+            backend.close()
         assert np.array_equal(
             merged, np.sort(np.concatenate([a, b]), kind="stable")
         )
@@ -119,11 +119,11 @@ class TestResilientRecovery:
         partition = partition_merge_path(a, b, 3, check=False)
         backend = ProcessBackend(max_workers=2)
         try:
-            with SharedMergeArena(a, b, partition) as arena:
+            with RoundArena([(a, b, partition)]) as arena:
                 tasks = arena.tasks()
                 backend.run_tasks(tasks)
                 backend.run_tasks(tasks)  # run every segment twice
-                merged = arena.result()
+                (merged,) = arena.results()
             assert np.array_equal(
                 merged, np.sort(np.concatenate([a, b]), kind="stable")
             )

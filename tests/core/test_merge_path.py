@@ -151,23 +151,23 @@ class TestPartitionMergePath:
         g = np.random.default_rng(10)
         a = np.sort(g.integers(0, 50, 64))
         b = np.sort(g.integers(0, 50, 37))
+        n = len(a) + len(b)
         for p in (2, 5, 9):
-            pv = partition_merge_path(a, b, p, vectorized=True)
-            ps = partition_merge_path(a, b, p, vectorized=False)
-            assert pv.segments == ps.segments
+            cuts = [(k * n) // p for k in range(1, p)]
+            lockstep = diagonal_intersections_vectorized(a, b, cuts)
+            part = partition_merge_path(a, b, p)
+            assert [s.a_start for s in part.segments[1:]] == lockstep.tolist()
 
     def test_search_steps_recorded_scalar(self):
         a = np.arange(100)
         b = np.arange(100)
-        part = partition_merge_path(a, b, 4, vectorized=False)
+        part = partition_merge_path(a, b, 4)
         assert len(part.search_steps) == 3
         assert all(s <= max_search_steps(100, 100) for s in part.search_steps)
 
     def test_stats_accumulated(self):
         stats = MergeStats()
-        partition_merge_path(
-            np.arange(64), np.arange(64), 4, vectorized=False, stats=stats
-        )
+        partition_merge_path(np.arange(64), np.arange(64), 4, stats=stats)
         assert stats.search_probes > 0
 
     def test_rejects_bad_p(self):

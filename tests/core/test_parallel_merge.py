@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.backends import SerialBackend, SimulatedBackend, ThreadBackend
-from repro.core.merge_path import partition_merge_path
-from repro.core.parallel_merge import merge, merge_partition, parallel_merge
+from repro.core.parallel_merge import merge, parallel_merge
 from repro.errors import InputError, NotSortedError
+from repro.execution import run_merge_round
 from repro.types import MergeStats
 from repro.workloads.adversarial import ADVERSARIAL_PAIRS
 
@@ -107,8 +107,7 @@ class TestMergePartition:
     def test_precomputed_partition(self):
         a = np.arange(0, 20, 2)
         b = np.arange(1, 21, 2)
-        part = partition_merge_path(a, b, 4)
-        out = merge_partition(a, b, part, backend=SerialBackend())
+        (out,) = run_merge_round([a, b], 4, backend=SerialBackend())
         np.testing.assert_array_equal(out, np.arange(20))
 
     def test_stats_flow_through(self):
@@ -137,26 +136,21 @@ class TestTopLevelMerge:
 
 
 class TestOversubscription:
+    """More segments than workers: the same merge at any granularity."""
+
     @pytest.mark.parametrize("factor", [1, 2, 4])
     def test_same_result_any_granularity(self, factor):
         g = np.random.default_rng(factor)
         a = np.sort(g.integers(0, 99, 73))
         b = np.sort(g.integers(0, 99, 61))
-        out = parallel_merge(
-            a, b, 3, backend="serial", oversubscribe=factor
-        )
+        (out,) = run_merge_round([a, b], 3 * factor, backend=SerialBackend())
         np.testing.assert_array_equal(out, reference_merge(a, b))
 
     def test_segment_count_scales(self):
         a = np.arange(100)
         b = np.arange(100)
         stats = MergeStats()
-        parallel_merge(a, b, 2, backend="serial", oversubscribe=4,
-                       kernel="two_pointer", stats=stats)
-        # 8 segments -> 7 interior cuts were searched (vectorized bound)
+        run_merge_round([a, b], 2 * 4, backend=SerialBackend(),
+                        kernel="two_pointer", stats=stats)
+        # 8 segments, each element moved exactly once
         assert stats.moves == 200
-
-    def test_validation(self):
-        with pytest.raises(InputError):
-            parallel_merge(np.array([1]), np.array([2]), 2,
-                           backend="serial", oversubscribe=0)

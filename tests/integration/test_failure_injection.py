@@ -7,13 +7,14 @@ import pytest
 
 from repro.backends.base import Backend, TaskResult
 from repro.core.merge_path import partition_merge_path
-from repro.core.parallel_merge import merge_partition, parallel_merge
+from repro.core.parallel_merge import parallel_merge
 from repro.errors import (
     BackendError,
     DeadlockError,
     MemoryConflictError,
     NotSortedError,
 )
+from repro.execution import run_merge_round
 from repro.pram.machine import PRAMMachine
 from repro.pram.memory import AccessMode, SharedMemory
 from repro.pram.program import Compute, Read, Write
@@ -52,7 +53,7 @@ class TestBackendFaults:
         a = np.arange(0, 64, 2)
         b = np.arange(1, 65, 2)
         part = partition_merge_path(a, b, 4)
-        out = merge_partition(a, b, part, backend=DroppingBackend())
+        (out,) = run_merge_round([a, b], 4, backend=DroppingBackend())
         # the even segments were merged, the odd ones never written
         expected = np.sort(np.concatenate([a, b]))
         assert not np.array_equal(out, expected)

@@ -5,10 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.backends.processes import ProcessBackend
 from repro.backends.serial import SerialBackend
-from repro.core.merge_path import partition_merge_path
 from repro.core.parallel_merge import parallel_merge
 from repro.errors import BackendError, BackendUnavailableError
+from repro.execution import run_merge_round
+from repro.types import MergeStats
 from repro.resilience import (
     DEGRADATION_CHAIN,
     DegradationWarning,
@@ -133,19 +135,31 @@ class TestDegradingBackend:
                 dg.run_tasks([lambda: 1])
         dg.close()
 
-    def test_merge_partition_replays_on_next_level(self):
+    def test_arena_round_replays_on_next_level(self):
+        """A process level that fails every arena job hands the whole
+        shared-memory round to the next level, which runs the same
+        offset jobs in-process."""
         rng = np.random.default_rng(7)
         a = np.sort(rng.integers(0, 500, 300))
         b = np.sort(rng.integers(0, 500, 300))
-        part = partition_merge_path(a, b, 4, check=False)
-        dg = DegradingBackend([_doomed(), "serial"], policy=_FAST)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradationWarning)
-            merged = dg.merge_partition(a, b, part)
+        doomed_pool = FaultyBackend(
+            ProcessBackend(max_workers=2),
+            FaultInjector(seed=0, error_rate=1.0, faulty_attempts=None),
+        )
+        dg = DegradingBackend([doomed_pool, "serial"], policy=_FAST)
+        stats = MergeStats()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegradationWarning)
+                (merged,) = run_merge_round([a, b], 4, backend=dg,
+                                            stats=stats)
+        finally:
+            dg.close()
         assert np.array_equal(
             merged, np.sort(np.concatenate([a, b]), kind="stable")
         )
-        dg.close()
+        assert dg.active_backend == "serial"
+        assert stats.moves == len(a) + len(b)
 
     def test_parallel_merge_over_degrading_backend(self):
         rng = np.random.default_rng(8)
